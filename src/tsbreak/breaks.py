@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc
 
 from . import argmax_dist, ols
 from .series import TimeSeries
@@ -34,7 +34,11 @@ class BreakModel(enum.Enum):
 
 
 class BreaksError(ValueError):
-    """Raised for invalid windows, degenerate fits, or bad parameters."""
+    """Raised for invalid windows or bad parameters (input errors)."""
+
+
+class DegenerateFitError(BreaksError, ArithmeticError):
+    """A fit the statistic needs is exact or unidentified: a numerical failure."""
 
 
 def mc_seed() -> int:
@@ -62,20 +66,26 @@ class ChowResult:
     p_value: float
 
 
-def _chow_f(X: np.ndarray, y: np.ndarray, split: int) -> tuple[float, int, int]:
-    """Pooled-vs-segmented F statistic at a 1-based split index."""
+def _chow_f(
+    X: np.ndarray, y: np.ndarray, split: int, rss_pooled: float | None = None
+) -> tuple[float, int, int]:
+    """Pooled-vs-segmented F statistic at a 1-based split index.
+
+    A sweep passes the pooled RSS in, so the full-sample fit runs once.
+    """
     n, k = X.shape
     if split < k + 1 or n - split < k + 1:
         raise BreaksError(
             f"split at {split} leaves a segment with fewer than {k + 1} "
             f"observations (n={n}, k={k})"
         )
-    rss_pooled = _segment_rss(X, y)
+    if rss_pooled is None:
+        rss_pooled = _segment_rss(X, y)
     rss1 = _segment_rss(X[:split], y[:split])
     rss2 = _segment_rss(X[split:], y[split:])
     rss_seg = rss1 + rss2
     if rss_seg <= 0.0:
-        raise BreaksError(
+        raise DegenerateFitError(
             "degenerate segments: both sub-fits are exact (zero residual "
             "sum of squares), the F statistic is undefined"
         )
@@ -89,7 +99,7 @@ def chow_test(series: TimeSeries, model: BreakModel, point: int) -> ChowResult:
     y = series.values
     X = _regressors(model, len(y))
     f, k, df_den = _chow_f(X, y, point)
-    p = float(stats.f.sf(f, k, df_den))
+    p = float(fdtrc(k, df_den, f))
     return ChowResult(point, f, k, df_den, p)
 
 
@@ -145,8 +155,12 @@ def f_stats(
             "(lower the trimming fraction explicitly to override)"
         )
     X = _regressors(model, n)
+    rss_pooled = _segment_rss(X, y)
     values = np.array(
-        [_chow_f(X, y, split)[0] for split in range(from_index, to_index + 1)]
+        [
+            _chow_f(X, y, split, rss_pooled)[0]
+            for split in range(from_index, to_index + 1)
+        ]
     )
     values.setflags(write=False)
     return FstatsPath(n, from_index, to_index, values, trimming, model.k)
@@ -414,7 +428,7 @@ def breakpoint_confint(
         sigma1 = fit1.rss / len(y1)
         sigma2 = fit2.rss / len(y2)
         if dq1 <= 0.0 or dq2 <= 0.0:
-            raise BreaksError(
+            raise DegenerateFitError(
                 f"no parameter change across break #{b}; interval undefined"
             )
         if sigma1 == 0.0 and sigma2 == 0.0:
@@ -422,7 +436,7 @@ def breakpoint_confint(
             continue
         if sigma1 == 0.0 or sigma2 == 0.0:
             side = "before" if sigma1 == 0.0 else "after"
-            raise BreaksError(
+            raise DegenerateFitError(
                 f"segment {side} break #{b} has zero residual variance; "
                 "the interval is undefined"
             )

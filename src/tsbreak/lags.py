@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _NEAR_INT = 1e-9
 
@@ -52,14 +51,3 @@ def _check(T: int) -> None:
     if not isinstance(T, (int,)) or T < 1:
         raise ValueError(f"series length must be a positive integer, got {T!r}")
 
-
-@dataclass(frozen=True)
-class LagRule:
-    """A named rule evaluated at a given series length."""
-
-    name: str
-    T: int
-
-    @property
-    def value(self) -> int:
-        return RULES[self.name](self.T)

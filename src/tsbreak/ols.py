@@ -15,8 +15,12 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
-class OlsError(ValueError):
-    """Raised for rank-deficient or dimensionally inconsistent problems."""
+class OlsError(ValueError, ArithmeticError):
+    """Raised for rank-deficient or dimensionally inconsistent problems.
+
+    Also an ArithmeticError: a fit that cannot be computed is a numerical
+    failure, whatever the caller passed in.
+    """
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,6 @@ _KPSS_TABLES = {
     TrendSpec.DRIFT_TREND: df_tables.KPSS_TABLE_DRIFT_TREND,
 }
 
-# Human-readable spec descriptions, used by reports and the CLI.
-SPEC_TITLES = {
-    TrendSpec.NONE: "no drift, no trend",
-    TrendSpec.DRIFT: "with drift, no trend",
-    TrendSpec.DRIFT_TREND: "with drift and trend",
-}
-
 
 class UnitRootError(ValueError):
     """Raised when a series is too short for the requested test."""

@@ -8,13 +8,12 @@ KPSS values come in two kinds. ``KPSS_REFERENCE`` holds the hard-coded
 reference statistics (2.45, 2.7, 0.452); all three are checked for decision
 parity at the 5% level, and only the detrended 0.452 is also checked as a
 statistic. ``KPSS_FIXTURE_STAT`` holds the fixture's own statistics at lag 3,
-derived from ``_kpss_oracle``, a direct partial-sum loop that shares no code
-with ``tsbreak.unit_root``.
+derived from ``oracles.kpss_oracle``, a direct partial-sum loop that shares no
+code with ``tsbreak.unit_root``.
 """
 
 import importlib.resources
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -47,6 +46,8 @@ from tsbreak import (
 )
 from tsbreak.ols import DesignMatrix, fit
 
+from oracles import kpss_oracle
+
 FIXTURE = importlib.resources.files("tsbreak") / "data" / "trends_monthly.csv"
 
 ADF_REFERENCE = {
@@ -64,7 +65,7 @@ KPSS_REFERENCE = {
     TrendSpec.DRIFT: 2.7,
     TrendSpec.DRIFT_TREND: 0.452,
 }
-# The fixture's own KPSS statistics at lag 3, from _kpss_oracle.
+# The fixture's own KPSS statistics at lag 3, from kpss_oracle.
 KPSS_FIXTURE_STAT = {
     TrendSpec.NONE: 10.7455,
     TrendSpec.DRIFT: 4.9944,
@@ -109,40 +110,6 @@ class TestAdfGolden:
 # --- 2. KPSS golden test -----------------------------------------------------
 
 
-def _kpss_oracle(values, spec, lag):
-    """KPSS statistic written out from its definition with plain loops.
-
-    Residuals are the raw series (none), the demeaned series (drift) or the
-    residuals of a closed-form OLS fit on (1, t) (drift+trend). The statistic
-    is T^-2 * sum(S_t^2) / s^2(lag), where S_t are the residuals' partial sums
-    and s^2(lag) is the Bartlett-weighted sum of residual autocovariances.
-    """
-    y = [float(v) for v in values]
-    T = len(y)
-    t = range(1, T + 1)
-    y_bar = math.fsum(y) / T
-    if spec is TrendSpec.NONE:
-        e = y
-    elif spec is TrendSpec.DRIFT:
-        e = [v - y_bar for v in y]
-    else:
-        t_bar = (T + 1) / 2
-        slope = math.fsum((i - t_bar) * (v - y_bar) for i, v in zip(t, y)) / (
-            math.fsum((i - t_bar) ** 2 for i in t)
-        )
-        intercept = y_bar - slope * t_bar
-        e = [v - intercept - slope * i for i, v in zip(t, y)]
-    partial, sum_sq = 0.0, 0.0
-    for v in e:
-        partial += v
-        sum_sq += partial * partial
-    s2 = math.fsum(v * v for v in e) / T
-    for j in range(1, lag + 1):
-        weight = 1.0 - j / (lag + 1.0)
-        s2 += 2.0 * weight * math.fsum(e[i] * e[i - j] for i in range(j, T)) / T
-    return sum_sq / (T * T * s2)
-
-
 class TestKpssGolden:
     # Only the detrended reference 0.452 is a property of this fixture. The
     # references 2.45 (none) and 2.7 (drift) are not: the demeaned statistic
@@ -156,7 +123,7 @@ class TestKpssGolden:
     @pytest.mark.parametrize("spec", list(KPSS_REFERENCE))
     def test_statistic_matches_reference(self, fixture_series, spec):
         cell = kpss_test(fixture_series, lag=3).cells[spec]
-        oracle = _kpss_oracle(fixture_series.values, spec, 3)
+        oracle = kpss_oracle(fixture_series.values, spec, 3)
         assert cell.stat == pytest.approx(oracle, rel=1e-10)
         assert oracle == pytest.approx(KPSS_FIXTURE_STAT[spec], rel=1e-4)
         ref = KPSS_REFERENCE[spec]

@@ -4,6 +4,7 @@ import csv
 import importlib.resources
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -104,17 +105,6 @@ class TestChowCommand:
         )
         assert "F" in out
 
-    def test_degenerate_exit_3(self, runner, tmp_path):
-        p = tmp_path / "deg.csv"
-        rows = ["2020-01,0", "2020-02,0", "2020-03,0",
-                "2020-04,1", "2020-05,1", "2020-06,1"]
-        p.write_text("\n".join(rows) + "\n")
-        result = runner.invoke(
-            main, ["chow", "--input", str(p), "--point", "3",
-                   "--model", "level"]
-        )
-        assert result.exit_code == 3
-
     def test_unknown_flag_exit_2(self, runner, fixture_path):
         result = runner.invoke(
             main, ["chow", "--input", fixture_path, "--nonsense", "1"]
@@ -197,3 +187,44 @@ class TestSimulateAndAggregate:
         )
         assert "2 monthly periods" in text
         assert out.exists()
+
+
+class TestExitCodes:
+    """Exit codes follow the type of the failure, not its message."""
+
+    @pytest.mark.parametrize(
+        "values,args",
+        [
+            # Both segments are exact fits: the Chow F is undefined.
+            ([0, 0, 0, 1, 1, 1], ["chow", "--point", "3", "--model", "level"]),
+            # The segment before the break at 20 has zero residual variance.
+            (
+                [0.0] * 20 + list(np.random.default_rng(7).normal(5.0, 1.0, 20)),
+                ["breakpoints", "--h", "5"],
+            ),
+        ],
+        ids=["chow", "breakpoints"],
+    )
+    def test_degenerate_exit_3(self, runner, tmp_path, values, args):
+        p = tmp_path / "deg.csv"
+        p.write_text("".join(
+            f"{2020 + i // 12}-{i % 12 + 1:02d},{float(v)!r}\n" for i, v in enumerate(values)
+        ))
+        result = runner.invoke(main, [args[0], "--input", str(p), *args[1:]])
+        assert result.exit_code == 3, result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--kind", "drift", "--T", "10", "--out", "{missing}/x.csv"],
+            ["fstats", "--input", "{fixture}", "--from", "2020-01", "--to", "2021-12",
+             "--plot-data", "{missing}/p.csv"],
+        ],
+        ids=["simulate", "fstats"],
+    )
+    def test_unwritable_output_exit_2(self, runner, tmp_path, fixture_path, args):
+        missing = tmp_path / "no_such_dir"
+        argv = [a.format(missing=missing, fixture=fixture_path) for a in args]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "no_such_dir" in result.output

@@ -1,6 +1,6 @@
 import pytest
 
-from tsbreak.lags import RULES, LagRule, kpss_short, newey_west, schwert4, schwert12
+from tsbreak.lags import RULES, kpss_short, newey_west, schwert4, schwert12
 
 
 class TestKnownValues:
@@ -51,7 +51,3 @@ def test_rejects_non_positive_lengths(rule, bad):
 
 def test_rules_registry_names():
     assert set(RULES) == {"schwert4", "schwert12", "newey_west", "kpss_short"}
-
-
-def test_lag_rule_dataclass():
-    assert LagRule("schwert4", 241).value == 4

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kpss_oracle
 from tsbreak.periods import Period
 from tsbreak.series import TimeSeries
 from tsbreak.simulate import ProcessKind, ProcessSpec, generate
@@ -166,17 +167,10 @@ class TestLongRunVariance:
 
 
 class TestKpss:
-    @pytest.mark.parametrize(
-        "spec,reg", [(TrendSpec.DRIFT, "c"), (TrendSpec.DRIFT_TREND, "ct")]
-    )
-    def test_matches_reference_implementation(self, spec, reg):
-        smt = pytest.importorskip("statsmodels.tsa.stattools")
-        import warnings
-
+    @pytest.mark.parametrize("spec", [TrendSpec.DRIFT, TrendSpec.DRIFT_TREND])
+    def test_matches_reference_implementation(self, spec):
         s = walk(seed=9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ref = smt.kpss(s.values, regression=reg, nlags=3)[0]
+        ref = kpss_oracle(s.values, spec, 3)
         assert kpss_stat(s, spec, 3) == pytest.approx(ref, rel=1e-10)
 
     def test_none_spec_uses_raw_level(self):
