@@ -52,9 +52,38 @@ def _regressors(model: BreakModel, n: int) -> np.ndarray:
     return np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)])
 
 
-def _segment_rss(X: np.ndarray, y: np.ndarray) -> float:
-    fit = ols.fit(ols.DesignMatrix(X, tuple(f"x{i}" for i in range(X.shape[1]))), y)
-    return fit.rss
+class _SegmentCost:
+    """RSS of the level or trend fit on any run of observations, in O(1).
+
+    Built once from prefix sums of y - ybar and, for the trend model, of
+    t - tbar, (t - tbar)^2 and (t - tbar)(y - ybar). Centring before summing
+    keeps every running sum of the order of the series' spread, not of its
+    level, so the differences in `rss` do not cancel when the series sits
+    far from zero (Chan, Golub & LeVeque 1983, Am. Stat. 37(3)).
+    """
+
+    def __init__(self, y: np.ndarray, model: BreakModel):
+        def prefix(a: np.ndarray) -> np.ndarray:
+            return np.concatenate(([0.0], np.cumsum(a)))
+
+        yc = y - y.mean()
+        self.trend = model is BreakModel.TREND
+        self.sy, self.syy = prefix(yc), prefix(yc * yc)
+        if self.trend:
+            tc = np.arange(len(y)) - (len(y) - 1) / 2.0
+            self.st, self.stt, self.sty = prefix(tc), prefix(tc * tc), prefix(tc * yc)
+
+    def rss(self, b, e):
+        """RSS of 0-based observations b..e-1; b and e broadcast as arrays."""
+        m = e - b
+        sy = self.sy[e] - self.sy[b]
+        rss = self.syy[e] - self.syy[b] - sy * sy / m
+        if self.trend:
+            st = self.st[e] - self.st[b]
+            stt = self.stt[e] - self.stt[b] - st * st / m
+            sty = self.sty[e] - self.sty[b] - st * sy / m
+            rss = rss - sty * sty / stt
+        return np.maximum(rss, 0.0)
 
 
 @dataclass(frozen=True)
@@ -66,41 +95,37 @@ class ChowResult:
     p_value: float
 
 
-def _chow_f(
-    X: np.ndarray, y: np.ndarray, split: int, rss_pooled: float | None = None
-) -> tuple[float, int, int]:
-    """Pooled-vs-segmented F statistic at a 1-based split index.
+def _chow_f(cost: _SegmentCost, n: int, k: int, splits: np.ndarray) -> np.ndarray:
+    """Pooled-vs-segmented F statistic at each 1-based split in `splits`.
 
-    A sweep passes the pooled RSS in, so the full-sample fit runs once.
+    The pooled RSS is `cost.rss(0, n)` and the segmented RSS at split s is
+    `cost.rss(0, s) + cost.rss(s, n)`: every split costs O(1) and no
+    segment is refitted.
     """
-    n, k = X.shape
-    if split < k + 1 or n - split < k + 1:
+    short = splits[(splits < k + 1) | (n - splits < k + 1)]
+    if short.size:
         raise BreaksError(
-            f"split at {split} leaves a segment with fewer than {k + 1} "
+            f"split at {short[0]} leaves a segment with fewer than {k + 1} "
             f"observations (n={n}, k={k})"
         )
-    if rss_pooled is None:
-        rss_pooled = _segment_rss(X, y)
-    rss1 = _segment_rss(X[:split], y[:split])
-    rss2 = _segment_rss(X[split:], y[split:])
-    rss_seg = rss1 + rss2
-    if rss_seg <= 0.0:
+    rss_seg = cost.rss(0, splits) + cost.rss(splits, n)
+    if np.any(rss_seg <= 0.0):
         raise DegenerateFitError(
             "degenerate segments: both sub-fits are exact (zero residual "
             "sum of squares), the F statistic is undefined"
         )
     df_den = n - 2 * k
-    f = ((rss_pooled - rss_seg) / k) / (rss_seg / df_den)
-    return max(f, 0.0), k, df_den
+    f = ((cost.rss(0, n) - rss_seg) / k) / (rss_seg / df_den)
+    return np.maximum(f, 0.0)
 
 
 def chow_test(series: TimeSeries, model: BreakModel, point: int) -> ChowResult:
     """Chow test at a researcher-chosen split point."""
     y = series.values
-    X = _regressors(model, len(y))
-    f, k, df_den = _chow_f(X, y, point)
-    p = float(fdtrc(k, df_den, f))
-    return ChowResult(point, f, k, df_den, p)
+    n, k = len(y), model.k
+    df_den = n - 2 * k
+    f = float(_chow_f(_SegmentCost(y, model), n, k, np.array([point]))[0])
+    return ChowResult(point, f, k, df_den, float(fdtrc(k, df_den, f)))
 
 
 @dataclass(frozen=True)
@@ -139,7 +164,10 @@ def f_stats(
     to_index: int,
     trimming: float = DEFAULT_TRIMMING,
 ) -> FstatsPath:
-    """Chow F at every candidate split in [from_index, to_index]."""
+    """Chow F at every candidate split in [from_index, to_index].
+
+    All splits share one `_SegmentCost`, so the sweep is O(n) in total.
+    """
     y = series.values
     n = len(y)
     if not 1 <= from_index <= to_index <= n - 1:
@@ -154,14 +182,8 @@ def f_stats(
             f"segment needs at least {margin} of the {n} observations "
             "(lower the trimming fraction explicitly to override)"
         )
-    X = _regressors(model, n)
-    rss_pooled = _segment_rss(X, y)
-    values = np.array(
-        [
-            _chow_f(X, y, split, rss_pooled)[0]
-            for split in range(from_index, to_index + 1)
-        ]
-    )
+    splits = np.arange(from_index, to_index + 1)
+    values = _chow_f(_SegmentCost(y, model), n, model.k, splits)
     values.setflags(write=False)
     return FstatsPath(n, from_index, to_index, values, trimming, model.k)
 
@@ -288,36 +310,13 @@ class BreakpointSet:
         return self.breaks_by_m[self.selected_m]
 
 
-def _segment_rss_table(y: np.ndarray, model: BreakModel, h: int) -> np.ndarray:
-    """rss[i, j]: RSS of the model on observations i..j (0-based, inclusive).
-
-    Filled only for j - i + 1 >= h via running sums, O(n^2) total.
-    """
-    n = len(y)
-    out = np.full((n, n), np.nan)
-    t = np.arange(1.0, n + 1.0)
-    for i in range(n):
-        s_y = s_yy = s_t = s_tt = s_ty = 0.0
-        for j in range(i, n):
-            v = y[j]
-            s_y += v
-            s_yy += v * v
-            if model is BreakModel.TREND:
-                s_t += t[j]
-                s_tt += t[j] * t[j]
-                s_ty += t[j] * v
-            m = j - i + 1
-            if m < h:
-                continue
-            if model is BreakModel.LEVEL:
-                rss = s_yy - s_y * s_y / m
-            else:
-                stt = s_tt - s_t * s_t / m
-                sty = s_ty - s_t * s_y / m
-                syy = s_yy - s_y * s_y / m
-                rss = syy - (sty * sty / stt if stt > 0 else 0.0)
-            out[i, j] = max(rss, 0.0)
-    return out
+def _backtrack(back: np.ndarray, m: int, end: int) -> tuple[int, ...]:
+    """Break vector of the best m-break partition of observations 0..end-1."""
+    breaks = []
+    for mm in range(m, 0, -1):
+        end = int(back[mm, end])
+        breaks.append(end)
+    return tuple(reversed(breaks))
 
 
 def optimal_breakpoints(
@@ -328,9 +327,12 @@ def optimal_breakpoints(
 ) -> BreakpointSet:
     """Minimal-RSS partitions for each break count, selected by BIC.
 
-    Exact dynamic program over the triangular segment-RSS array; among
-    equal-RSS partitions the lexicographically smallest break vector wins,
-    and BIC ties go to the smaller break count.
+    Exact dynamic program over the triangular segment-RSS array of Bai &
+    Perron (2003), with every segment's RSS read from one `_SegmentCost`
+    instead of a stored n x n table: memory is O(m_max * n). For each break
+    count and sample end, one vectorised minimum runs over the candidate
+    last breaks. Among equal-RSS partitions the lexicographically smallest
+    break vector wins, and BIC ties go to the smaller break count.
     """
     y = series.values
     n = len(y)
@@ -345,39 +347,27 @@ def optimal_breakpoints(
     elif not 0 <= m_max <= bound:
         raise BreaksError(f"m_max={m_max} outside feasible range 0..{bound}")
 
-    seg = _segment_rss_table(y, model, h)
-
-    # best[m][j]: (rss, breaks) for observations 0..j with m breaks.
-    best: list[list[tuple[float, tuple[int, ...]] | None]] = [
-        [None] * n for _ in range(m_max + 1)
-    ]
-    for j in range(n):
-        if not np.isnan(seg[0, j]):
-            best[0][j] = (float(seg[0, j]), ())
+    cost = _SegmentCost(y, model)
+    # best[m, e]: least RSS of observations 0..e-1 cut by m breaks; back[m, e]:
+    # the last of those breaks, 1-based, which is where the last segment starts.
+    best = np.full((m_max + 1, n + 1), np.inf)
+    back = np.zeros((m_max + 1, n + 1), dtype=np.intp)
+    best[0, h:] = cost.rss(0, np.arange(h, n + 1))
     for m in range(1, m_max + 1):
-        for j in range(n):
-            if j + 1 < (m + 1) * h:
-                continue
-            choice = None
-            # Last break after observation b (1-based), segment b..j.
-            for b in range(m * h, j - h + 2):
-                prev = best[m - 1][b - 1]
-                if prev is None or np.isnan(seg[b, j]):
-                    continue
-                cand = (prev[0] + float(seg[b, j]), prev[1] + (b,))
-                if choice is None or cand < choice:
-                    choice = cand
-            best[m][j] = choice
+        for e in range((m + 1) * h, n + 1):
+            b = np.arange(m * h, e - h + 1)
+            cand = best[m - 1, b] + cost.rss(b, e)
+            ties = np.flatnonzero(cand == cand.min())
+            i = ties[0]
+            if len(ties) > 1:  # the earliest last break need not be lexicographically least
+                i = min(ties, key=lambda t: _backtrack(back, m - 1, b[t]) + (b[t],))
+            best[m, e], back[m, e] = cand[i], b[i]
 
-    rss_table, bic_table, breaks_by_m = [], [], []
+    rss_table = [float(r) for r in best[:, n]]
+    breaks_by_m = [_backtrack(back, m, n) for m in range(m_max + 1)]
+    bic_table = []
     log_n = math.log(n)
-    for m in range(m_max + 1):
-        cell = best[m][n - 1]
-        if cell is None:
-            raise BreaksError(f"no feasible partition with {m} breaks")
-        rss, brk = cell
-        rss_table.append(rss)
-        breaks_by_m.append(brk)
+    for m, rss in enumerate(rss_table):
         npar = (m + 1) * k + m + 1  # per-segment slopes, break dates, variance
         safe_rss = max(rss, 1e-300)
         bic_table.append(n * math.log(safe_rss / n) + npar * log_n)

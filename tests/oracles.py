@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from tsbreak import TrendSpec
 
 
@@ -37,3 +39,50 @@ def kpss_oracle(values, spec, lag):
         weight = 1.0 - j / (lag + 1.0)
         s2 += 2.0 * weight * math.fsum(e[i] * e[i - j] for i in range(j, T)) / T
     return sum_sq / (T * T * s2)
+
+
+def ols_oracle(X, y):
+    """OLS from the normal equations, solved in extended precision.
+
+    X'X and X'y are formed in np.longdouble and solved by Gauss-Jordan
+    elimination with partial pivoting, so the result shares no code with
+    the QR fit under test and carries about three more digits than float64.
+    Returns float64 (coefficients, standard errors, t-ratios, rss).
+    """
+    X = np.asarray(X, dtype=np.longdouble)
+    y = np.asarray(y, dtype=np.longdouble)
+    n, k = X.shape
+    # Augmented system [X'X | X'y | I]: reduces to [I | beta | (X'X)^-1].
+    a = np.concatenate([X.T @ X, (X.T @ y)[:, None], np.eye(k, dtype=np.longdouble)], axis=1)
+    for col in range(k):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        a[[col, pivot]] = a[[pivot, col]]
+        a[col] /= a[col, col]
+        for row in range(k):
+            if row != col:
+                a[row] -= a[row, col] * a[col]
+    beta = a[:, k]
+    resid = y - X @ beta
+    rss = resid @ resid
+    se = np.sqrt(rss / (n - k) * np.diag(a[:, k + 1 :]))
+    return tuple(np.asarray(v, dtype=float) for v in (beta, se, beta / se)) + (float(rss),)
+
+
+def adf_t_oracle(values, spec, lag):
+    """ADF t-ratio on y_{t-1} from its regression written out per observation.
+
+    Regresses dy_t on y_{t-1}, dy_{t-1}..dy_{t-lag} and, by spec, a constant
+    and a time index, over t = lag+1..T-1 (0-based), then reads the ratio
+    from `ols_oracle`.
+    """
+    y = [float(v) for v in values]
+    rows, response = [], []
+    for t in range(lag + 1, len(y)):
+        row = [y[t - 1]] + [y[t - j] - y[t - j - 1] for j in range(1, lag + 1)]
+        if spec is not TrendSpec.NONE:
+            row.append(1.0)
+        if spec is TrendSpec.DRIFT_TREND:
+            row.append(float(t))
+        rows.append(row)
+        response.append(y[t] - y[t - 1])
+    return float(ols_oracle(rows, response)[2][0])

@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tsbreak.breaks import (
@@ -226,6 +229,13 @@ class TestOptimalBreakpoints:
         assert bset.breaks_by_m[1] == (3,)
         assert bset.breaks_by_m[2] == (3, 6)
 
+    def test_tie_break_beyond_earliest_last_break(self):
+        # (3, 7, 9), (4, 6, 9) and (4, 7, 9) all have RSS 7/3; taking the
+        # earliest last break at every step would give (4, 6, 9).
+        y = np.array([1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0], dtype=float)
+        bset = optimal_breakpoints(ts(y), BreakModel.LEVEL, h=2, m_max=3)
+        assert bset.breaks_by_m[3] == (3, 7, 9)
+
     def test_bic_tie_prefers_fewer_breaks(self):
         bset = optimal_breakpoints(ts(np.zeros(12)), BreakModel.LEVEL, h=3, m_max=2)
         assert bset.selected_m == 0
@@ -247,6 +257,66 @@ class TestOptimalBreakpoints:
     def test_m_max_out_of_range(self):
         with pytest.raises(BreaksError, match="m_max"):
             optimal_breakpoints(ts(np.zeros(20)), BreakModel.LEVEL, h=5, m_max=5)
+
+
+class TestShiftInvariance:
+    """Breaks, RSS and F paths of a + b*y follow from those of y.
+
+    The shifts reach 1e8, where running sums of the raw data lose every digit
+    of the segment spread; the scales keep the rounding of a + b*y itself
+    (half an ulp of 1e8, about 7.5e-9) well below the tolerances.
+    """
+
+    SHIFT = st.floats(-1e8, 1e8)
+    SCALE = st.floats(1.0, 10.0) | st.floats(-10.0, -1.0)
+
+    @staticmethod
+    def sample(seed):
+        y = np.random.default_rng(seed).normal(size=60)
+        y[30:] += 3.0
+        return y
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**16), SHIFT, SCALE, st.sampled_from(BreakModel))
+    def test_breakpoints(self, seed, a, b, model):
+        y = self.sample(seed)
+        ref = optimal_breakpoints(ts(y), model, h=6)
+        moved = optimal_breakpoints(ts(a + b * y), model, h=6)
+        assert moved.breaks_by_m == ref.breaks_by_m
+        assert moved.selected_m == ref.selected_m
+        assert moved.rss_table == pytest.approx(
+            [b * b * r for r in ref.rss_table], rel=1e-6
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**16), SHIFT, SCALE, st.sampled_from(BreakModel))
+    def test_f_stats(self, seed, a, b, model):
+        y = self.sample(seed)
+        ref = f_stats(ts(y), model, 6, 54).f_values
+        moved = f_stats(ts(a + b * y), model, 6, 54).f_values
+        assert moved == pytest.approx(ref, rel=1e-7, abs=1e-7)
+
+    def test_three_regime_series_plus_1e8(self):
+        # Breaks after 40 and 80, means 0, 3, -1, unit noise (seed 7).
+        rng = np.random.default_rng(7)
+        means = np.concatenate([np.zeros(40), np.full(40, 3.0), np.full(40, -1.0)])
+        y = means + rng.standard_normal(120)
+        ref = optimal_breakpoints(ts(y), BreakModel.LEVEL, h=6)
+        moved = optimal_breakpoints(ts(y + 1e8), BreakModel.LEVEL, h=6)
+        assert ref.break_indices == moved.break_indices == (40, 80)
+        assert moved.rss_table == pytest.approx(ref.rss_table, rel=1e-6)
+
+
+def test_dp_memory_is_linear_in_n():
+    # An n x n float table at n = 1000 alone would take 8 MB.
+    s = ts(np.random.default_rng(3).normal(size=1000))
+    tracemalloc.start()
+    try:
+        optimal_breakpoints(s, BreakModel.LEVEL, h=250)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 class TestConfidenceIntervals:

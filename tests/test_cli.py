@@ -3,6 +3,7 @@
 import csv
 import importlib.resources
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from tsbreak.cli import main
 
 FIXTURE = importlib.resources.files("tsbreak") / "data" / "trends_monthly.csv"
+SNAPSHOTS = Path(__file__).parent / "snapshots"
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +230,54 @@ class TestExitCodes:
         result = runner.invoke(main, argv)
         assert result.exit_code == 2, result.output
         assert "error:" in result.output and "no_such_dir" in result.output
+
+
+# Every README command that has --json (`simulate` has none), on the fixture;
+# `aggregate` reads DOC_TOPICS instead.
+JSON_COMMANDS = {
+    "adf": ["adf", "--input", "{fixture}", "--nlag", "5"],
+    "kpss": ["kpss", "--input", "{fixture}", "--lag-rule", "kpss_short"],
+    "lag": ["lag", "--T", "241"],
+    "chow": ["chow", "--input", "{fixture}", "--point", "2020-10", "--model", "trend"],
+    "fstats": ["fstats", "--input", "{fixture}", "--from", "2020-01", "--to", "2021-12",
+               "--alpha", "0.05", "--plot-data", "{tmp}/fpath.csv"],
+    "breakpoints": ["breakpoints", "--input", "{fixture}", "--h", "5",
+                    "--from", "2020-01", "--to", "2024-01"],
+    "aggregate": ["aggregate", "--input", "{tmp}/doc_topics.csv", "--topic", "a",
+                  "--out", "{tmp}/prevalence.csv"],
+}
+DOC_TOPICS = (
+    "doc_id,period,topic_id,probability\n"
+    "d1,2020-01,a,0.3\nd1,2020-01,b,0.7\n"
+    "d2,2020-02,a,0.6\nd2,2020-02,b,0.4\n"
+    "d3,2020-02,a,0.1\nd3,2020-02,b,0.9\n"
+    "d4,2020-03,a,0.25\nd4,2020-03,b,0.75\n"
+)
+
+
+def json_stdout(name, fixture, tmp):
+    tmp = Path(tmp)
+    (tmp / "doc_topics.csv").write_text(DOC_TOPICS)
+    args = [a.format(fixture=fixture, tmp=tmp) for a in JSON_COMMANDS[name]]
+    result = CliRunner().invoke(main, [*args, "--json"], env={"TSBREAK_SEED": None})
+    assert result.exit_code == 0, result.output
+    return result.stdout_bytes
+
+
+@pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+def test_json_snapshot(name, fixture_path, tmp_path):
+    """--json stdout is byte-identical to tests/snapshots/<name>.json.
+
+    Rewrite the snapshots after a deliberate change with
+    `PYTHONPATH=src python tests/test_cli.py` and review the diff.
+    """
+    assert json_stdout(name, fixture_path, tmp_path) == (SNAPSHOTS / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with importlib.resources.as_file(FIXTURE) as fixture, tempfile.TemporaryDirectory() as tmp:
+        SNAPSHOTS.mkdir(exist_ok=True)
+        for name in JSON_COMMANDS:
+            (SNAPSHOTS / f"{name}.json").write_bytes(json_stdout(name, fixture, tmp))
