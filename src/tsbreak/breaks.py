@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import fdtrc
 
-from . import argmax_dist, ols
+from . import argmax_dist
 from .series import TimeSeries
 
 DEFAULT_TRIMMING = 0.10
@@ -46,20 +46,15 @@ def mc_seed() -> int:
     return int(os.environ.get("TSBREAK_SEED", DEFAULT_MC_SEED))
 
 
-def _regressors(model: BreakModel, n: int) -> np.ndarray:
-    if model is BreakModel.LEVEL:
-        return np.ones((n, 1))
-    return np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)])
-
-
 class _SegmentCost:
-    """RSS of the level or trend fit on any run of observations, in O(1).
+    """Level or trend fit on any run of observations, in O(1).
 
-    Built once from prefix sums of y - ybar and, for the trend model, of
-    t - tbar, (t - tbar)^2 and (t - tbar)(y - ybar). Centring before summing
-    keeps every running sum of the order of the series' spread, not of its
-    level, so the differences in `rss` do not cancel when the series sits
-    far from zero (Chan, Golub & LeVeque 1983, Am. Stat. 37(3)).
+    Built once from prefix sums of y - ybar, t - tbar, (t - tbar)^2 and
+    (t - tbar)(y - ybar). Centring keeps every running sum of the order of
+    the series' spread, not of its level, so differences of them do not
+    cancel far from zero (Chan, Golub & LeVeque 1983, Am. Stat. 37(3)).
+    `tol` = n * eps * sum((y - ybar)^2) is their rounding floor and scales
+    like every RSS under y -> a + b*y: an RSS at or below it is an exact fit.
     """
 
     def __init__(self, y: np.ndarray, model: BreakModel):
@@ -67,11 +62,11 @@ class _SegmentCost:
             return np.concatenate(([0.0], np.cumsum(a)))
 
         yc = y - y.mean()
+        tc = np.arange(len(y)) - (len(y) - 1) / 2.0
         self.trend = model is BreakModel.TREND
         self.sy, self.syy = prefix(yc), prefix(yc * yc)
-        if self.trend:
-            tc = np.arange(len(y)) - (len(y) - 1) / 2.0
-            self.st, self.stt, self.sty = prefix(tc), prefix(tc * tc), prefix(tc * yc)
+        self.st, self.stt, self.sty = prefix(tc), prefix(tc * tc), prefix(tc * yc)
+        self.tol = len(y) * np.finfo(float).eps * float(self.syy[-1])
 
     def rss(self, b, e):
         """RSS of 0-based observations b..e-1; b and e broadcast as arrays."""
@@ -84,6 +79,14 @@ class _SegmentCost:
             sty = self.sty[e] - self.sty[b] - st * sy / m
             rss = rss - sty * sty / stt
         return np.maximum(rss, 0.0)
+
+    def line(self, b: int, e: int) -> tuple[float, float, float, float]:
+        """Centred mean t, mean y, slope (0 if level) and var(t) of b..e-1."""
+        m = e - b
+        st, sy = self.st[e] - self.st[b], self.sy[e] - self.sy[b]
+        stt = self.stt[e] - self.stt[b] - st * st / m
+        slope = (self.sty[e] - self.sty[b] - st * sy / m) / stt if self.trend else 0.0
+        return float(st / m), float(sy / m), float(slope), float(stt / m)
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def _chow_f(cost: _SegmentCost, n: int, k: int, splits: np.ndarray) -> np.ndarra
             f"observations (n={n}, k={k})"
         )
     rss_seg = cost.rss(0, splits) + cost.rss(splits, n)
-    if np.any(rss_seg <= 0.0):
+    if np.any(rss_seg <= cost.tol):
         raise DegenerateFitError(
             "degenerate segments: both sub-fits are exact (zero residual "
             "sum of squares), the F statistic is undefined"
@@ -391,8 +394,8 @@ def breakpoint_confint(
 ) -> BreakpointSet:
     """Attach (lower, point, upper) intervals to the selected partition.
 
-    Intervals come from the argmax limit law with segment-specific residual
-    variances and regressor moments; quantiles by bisection to 1e-8.
+    Intervals come from the argmax limit law (Bai 1997) with segment-specific
+    variances and moments from one `_SegmentCost`; quantiles bisect to 1e-8.
     """
     breaks = bset.break_indices
     if not breaks:
@@ -401,35 +404,31 @@ def breakpoint_confint(
     n = bset.n
     if len(y) != n:
         raise BreaksError("series does not match the breakpoint set")
-    X = _regressors(bset.model, n)
+    cost = _SegmentCost(y, bset.model)
     bounds = (0,) + breaks + (n,)
     intervals = []
     for idx, b in enumerate(breaks):
         lo, hi = bounds[idx], bounds[idx + 2]
-        X1, y1 = X[lo:b], y[lo:b]
-        X2, y2 = X[b:hi], y[b:hi]
-        fit1 = ols.fit(ols.DesignMatrix(X1, ("c",) * X1.shape[1]), y1)
-        fit2 = ols.fit(ols.DesignMatrix(X2, ("c",) * X2.shape[1]), y2)
-        delta = np.asarray(fit2.coefficients) - np.asarray(fit1.coefficients)
-        q1 = X1.T @ X1 / len(y1)
-        q2 = X2.T @ X2 / len(y2)
-        dq1 = float(delta @ q1 @ delta)
-        dq2 = float(delta @ q2 @ delta)
-        sigma1 = fit1.rss / len(y1)
-        sigma2 = fit2.rss / len(y2)
+        t1, y1, s1, var1 = cost.line(lo, b)
+        t2, y2, s2, var2 = cost.line(b, hi)
+        # delta' Q_i delta: mean square of the gap between the lines on segment i.
+        dq1 = (y2 + s2 * (t1 - t2) - y1) ** 2 + (s2 - s1) ** 2 * var1
+        dq2 = (y2 - y1 - s1 * (t2 - t1)) ** 2 + (s2 - s1) ** 2 * var2
+        rss1, rss2 = float(cost.rss(lo, b)), float(cost.rss(b, hi))
         if dq1 <= 0.0 or dq2 <= 0.0:
             raise DegenerateFitError(
                 f"no parameter change across break #{b}; interval undefined"
             )
-        if sigma1 == 0.0 and sigma2 == 0.0:
+        if rss1 <= cost.tol and rss2 <= cost.tol:
             intervals.append((b, b, b))  # noiseless shift: exact break date
             continue
-        if sigma1 == 0.0 or sigma2 == 0.0:
-            side = "before" if sigma1 == 0.0 else "after"
+        if rss1 <= cost.tol or rss2 <= cost.tol:
+            side = "before" if rss1 <= cost.tol else "after"
             raise DegenerateFitError(
                 f"segment {side} break #{b} has zero residual variance; "
                 "the interval is undefined"
             )
+        sigma1, sigma2 = rss1 / (b - lo), rss2 / (hi - b)
         xi = dq2 / dq1
         phi = xi * sigma2 / sigma1
         scale = sigma1 / dq1  # observations per unit of limit time

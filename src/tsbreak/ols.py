@@ -1,9 +1,11 @@
 """Ordinary least squares via QR decomposition.
 
-Every test statistic in the package reduces to one or more OLS fits; this
-module is the single place where they are computed. Normal equations are
-deliberately avoided: the near-unit-root regressions behind the ADF test
-are ill-conditioned enough that the orthogonal decomposition matters.
+This module fits the ADF test regressions and the KPSS detrending. The
+level and trend segment fits behind the Chow test, the F sweep, the
+breakpoints and their intervals live in `breaks._SegmentCost` instead.
+Normal equations are deliberately avoided: the near-unit-root regressions
+behind the ADF test are ill-conditioned enough that the orthogonal
+decomposition matters.
 """
 
 from __future__ import annotations

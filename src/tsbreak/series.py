@@ -140,6 +140,15 @@ def _resolve_column(spec, header: list[str] | None, what: str) -> int:
         raise SeriesError(f"{what} column {spec!r} not found in header {header}")
 
 
+def _read_rows(path: Path) -> list[list[str]]:
+    """The CSV rows of `path` that hold at least one non-blank cell."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    except OSError as exc:
+        raise SeriesError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def load_csv(
     path,
     date_column=0,
@@ -154,11 +163,7 @@ def load_csv(
     period; duplicates and grid gaps are reported with their row number.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    except OSError as exc:
-        raise SeriesError(f"cannot read {path}: {exc.strerror}") from exc
+    rows = _read_rows(path)
     if not rows:
         raise SeriesError(f"{path}: file contains no data rows")
 
@@ -218,11 +223,7 @@ def write_csv(series: TimeSeries, path) -> None:
 def load_doc_topic_csv(path) -> list[DocTopicRecord]:
     """Read DocTopicRecord rows from a doc_id,period,topic_id,probability CSV."""
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    except OSError as exc:
-        raise SeriesError(f"cannot read {path}: {exc.strerror}") from exc
+    rows = _read_rows(path)
     if rows and rows[0][:1] and rows[0][0].strip().lower() == "doc_id":
         rows = rows[1:]
     records = []

@@ -1,10 +1,16 @@
-"""Reference implementations shared by the tests; no code shared with tsbreak."""
+"""Reference implementations shared by the tests.
+
+They share no code with tsbreak, except that `confint_oracle` reads the
+argmax limit law's quantiles from `tsbreak.argmax_dist`, which
+`tests/test_argmax_dist.py` checks on its own.
+"""
 
 import math
 
 import numpy as np
 
 from tsbreak import TrendSpec
+from tsbreak.argmax_dist import quantile
 
 
 def kpss_oracle(values, spec, lag):
@@ -86,3 +92,35 @@ def adf_t_oracle(values, spec, lag):
         rows.append(row)
         response.append(y[t] - y[t - 1])
     return float(ols_oracle(rows, response)[2][0])
+
+
+def confint_oracle(values, breaks, trend, alpha=0.05):
+    """Break-date intervals of Bai (1997) in their matrix form.
+
+    For each break, the coefficients of the two adjacent segments' fits on
+    (1) or (1, t), t = 1..n, come from `ols_oracle`, and with delta their
+    difference and Q_i = X_i'X_i / n_i written out explicitly, each segment
+    contributes delta' Q_i delta and its residual variance rss_i / n_i.
+    Returns ((lower, break, upper), ...) for the 1-based `breaks`.
+    """
+    y = np.asarray(values, dtype=float)
+    n = len(y)
+    t = np.arange(1.0, n + 1.0)
+    X = np.column_stack([np.ones(n), t]) if trend else np.ones((n, 1))
+    bounds = (0, *breaks, n)
+    intervals = []
+    for lo, b, hi in zip(bounds, bounds[1:], bounds[2:]):
+        X1, X2 = X[lo:b], X[b:hi]
+        beta1, _, _, rss1 = ols_oracle(X1, y[lo:b])
+        beta2, _, _, rss2 = ols_oracle(X2, y[b:hi])
+        delta = beta2 - beta1
+        dq1 = float(delta @ (X1.T @ X1 / (b - lo)) @ delta)
+        dq2 = float(delta @ (X2.T @ X2 / (hi - b)) @ delta)
+        sigma1, sigma2 = rss1 / (b - lo), rss2 / (hi - b)
+        xi = dq2 / dq1
+        phi = xi * sigma2 / sigma1
+        scale = sigma1 / dq1
+        lower = b - math.ceil(scale * quantile(1.0 - alpha / 2.0, phi, xi))
+        upper = b - math.floor(scale * quantile(alpha / 2.0, phi, xi))
+        intervals.append((max(1, lower), b, min(n, upper)))
+    return tuple(intervals)

@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import tsbreak
 from tsbreak import (
     BreakModel,
     Period,
@@ -321,6 +322,9 @@ class TestCliDeterminism:
     def _run(self, args, seed=None):
         env = dict(os.environ)
         env.pop("TSBREAK_SEED", None)
+        # The child imports the same tsbreak as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(tsbreak.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if seed is not None:
             env["TSBREAK_SEED"] = str(seed)
         out = subprocess.run(

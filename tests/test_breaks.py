@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import confint_oracle
 from scipy import stats
 
 from tsbreak.breaks import (
@@ -69,10 +70,18 @@ class TestChow:
         with pytest.raises(BreaksError, match="split"):
             chow_test(step_series(), BreakModel.TREND, 2)
 
-    def test_degenerate_segments(self):
-        y = np.concatenate([np.zeros(10), np.ones(10)])
+    @pytest.mark.parametrize(
+        "y,point",
+        [
+            (np.concatenate([np.zeros(10), np.ones(10)]), 10),
+            # exact up to the rounding of the running sums
+            (np.concatenate([np.full(20, 0.1), np.full(20, 0.7)]), 20),
+        ],
+        ids=["zeros_ones", "tenths"],
+    )
+    def test_degenerate_segments(self, y, point):
         with pytest.raises(BreaksError, match="degenerate"):
-            chow_test(ts(y), BreakModel.LEVEL, 10)
+            chow_test(ts(y), BreakModel.LEVEL, point)
 
 
 class TestFstatsPath:
@@ -296,6 +305,16 @@ class TestShiftInvariance:
         moved = f_stats(ts(a + b * y), model, 6, 54).f_values
         assert moved == pytest.approx(ref, rel=1e-7, abs=1e-7)
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**16), SHIFT, SCALE, st.sampled_from(BreakModel))
+    def test_intervals(self, seed, a, b, model):
+        y = self.sample(seed)
+        ref, moved = (
+            breakpoint_confint(optimal_breakpoints(ts(v), model, h=6, m_max=1), ts(v))
+            for v in (y, a + b * y)
+        )
+        assert moved.confidence_intervals == ref.confidence_intervals
+
     def test_three_regime_series_plus_1e8(self):
         # Breaks after 40 and 80, means 0, 3, -1, unit noise (seed 7).
         rng = np.random.default_rng(7)
@@ -349,11 +368,22 @@ class TestConfidenceIntervals:
             w[alpha] = hi - lo
         assert w[0.05] >= w[0.10]
 
-    def test_noiseless_break_collapses(self):
-        y = np.concatenate([np.zeros(10), np.full(10, 4.0)])
-        bset = optimal_breakpoints(ts(y), BreakModel.LEVEL, h=5, m_max=1)
+    T = np.arange(1.0, 41.0)
+
+    @pytest.mark.parametrize(
+        "y,model",
+        [
+            (np.repeat([0.0, 4.0], 20), BreakModel.LEVEL),
+            # segment fits that are exact only up to rounding
+            (np.repeat([0.1, 0.7], 20), BreakModel.LEVEL),
+            (np.where(T <= 20, 0.3 * T + 1.0, 5.0 - 0.2 * T), BreakModel.TREND),
+        ],
+        ids=["zeros_then_fours", "tenths", "slope_change"],
+    )
+    def test_noiseless_break_collapses(self, y, model):
+        bset = optimal_breakpoints(ts(y), model, h=5, m_max=1)
         bset = breakpoint_confint(bset, ts(y))
-        assert bset.confidence_intervals == ((10, 10, 10),)
+        assert bset.confidence_intervals == ((20, 20, 20),)
 
     def test_one_sided_zero_variance_rejected(self):
         y = np.concatenate([np.zeros(10), np.full(10, 4.0)])
@@ -368,9 +398,25 @@ class TestConfidenceIntervals:
         rng = np.random.default_rng(1)
         s = ts(rng.normal(size=40))
         bset = optimal_breakpoints(s, BreakModel.LEVEL, h=10, m_max=2)
-        if bset.selected_m == 0:
-            with pytest.raises(BreaksError, match="no breaks"):
-                breakpoint_confint(bset, s)
+        assert bset.selected_m == 0
+        with pytest.raises(BreaksError, match="no breaks"):
+            breakpoint_confint(bset, s)
+
+    @pytest.mark.parametrize("model", list(BreakModel))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_matrix_form_oracle(self, model, seed):
+        # Three regimes of 50 with shifts in level and, for the trend model, slope.
+        rng = np.random.default_rng(seed)
+        t = np.arange(150.0)
+        y = rng.normal(size=150) + np.repeat(rng.normal(0.0, 3.0, 3), 50)
+        if model is BreakModel.TREND:
+            y += np.repeat(rng.normal(0.0, 0.05, 3), 50) * t
+        s = ts(y)
+        bset = breakpoint_confint(optimal_breakpoints(s, model, h=10, m_max=4), s)
+        assert bset.selected_m > 0
+        assert bset.confidence_intervals == confint_oracle(
+            y, bset.break_indices, model is BreakModel.TREND
+        )
 
 
 def test_break_model_dimensions():

@@ -199,13 +199,15 @@ class TestExitCodes:
         [
             # Both segments are exact fits: the Chow F is undefined.
             ([0, 0, 0, 1, 1, 1], ["chow", "--point", "3", "--model", "level"]),
+            # Exact up to rounding: both segment RSS lie within the sums' rounding floor.
+            ([0.1] * 20 + [0.7] * 20, ["chow", "--point", "20", "--model", "level"]),
             # The segment before the break at 20 has zero residual variance.
             (
                 [0.0] * 20 + list(np.random.default_rng(7).normal(5.0, 1.0, 20)),
                 ["breakpoints", "--h", "5"],
             ),
         ],
-        ids=["chow", "breakpoints"],
+        ids=["chow", "chow_rounded", "breakpoints"],
     )
     def test_degenerate_exit_3(self, runner, tmp_path, values, args):
         p = tmp_path / "deg.csv"
