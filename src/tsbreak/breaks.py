@@ -22,6 +22,12 @@ DEFAULT_MC_SEED = 20240101
 MC_GRID = 1000
 MC_REPS = 10000
 SUPPORTED_ALPHAS = (0.01, 0.05, 0.10)
+# The breakpoint DP takes its sample ends in blocks of at most _BLOCK_CELLS
+# (end, last break) cells, unless a block of _BLOCK_MIN_ROWS ends needs more.
+_BLOCK_CELLS = 1 << 12
+_BLOCK_MIN_ROWS = 8
+_BLOCK_ROWS_MAX = math.isqrt(_BLOCK_CELLS)
+_ABOVE_DIAGONAL = np.triu(np.ones((_BLOCK_ROWS_MAX, _BLOCK_ROWS_MAX), dtype=bool), 1)
 
 
 class BreakModel(enum.Enum):
@@ -322,6 +328,36 @@ def _backtrack(back: np.ndarray, m: int, end: int) -> tuple[int, ...]:
     return tuple(reversed(breaks))
 
 
+def _dp_layer(cost: _SegmentCost, best: np.ndarray, back: np.ndarray, m: int, h: int):
+    """Fill best[m] and back[m] from layer m - 1, a block of sample ends at a time.
+
+    A block of ends e and candidate last breaks b is one array of
+    best[m - 1, b] + rss(b, e). Its first row has w candidates and each later
+    row one more, so a block of r rows holds at most r * (w + _BLOCK_ROWS_MAX)
+    cells. Cells with b > e - h are infeasible: they lie above the diagonal of
+    the last r columns and are set to inf before the row minima are taken.
+    """
+    n = best.shape[1] - 1
+    first = (m + 1) * h  # shortest sample that holds m + 1 segments
+    e0 = first
+    while e0 <= n:
+        rows = max(_BLOCK_MIN_ROWS, _BLOCK_CELLS // (e0 + 1 - first + _BLOCK_ROWS_MAX))
+        e = np.arange(e0, min(e0 + rows, n + 1))
+        e0, ne = e0 + rows, len(e)
+        b = np.arange(m * h, e[-1] - h + 1)
+        cand = best[m - 1, b] + cost.rss(b, e[:, None])
+        cand[:, -ne:][_ABOVE_DIAGONAL[:ne, :ne]] = np.inf
+        at = np.arange(ne)
+        i = cand.argmin(axis=1)
+        low = cand[at, i]
+        cand[at, i] = np.inf  # a second minimum equal to the first is a tie
+        for r in np.flatnonzero(cand.min(axis=1) == low):
+            # The earliest last break need not be lexicographically least.
+            ties = np.append(b[i[r]], b[cand[r] == low[r]])
+            i[r] = min(ties, key=lambda t: _backtrack(back, m - 1, t) + (t,)) - b[0]
+        best[m, e], back[m, e] = low, b[i]
+
+
 def optimal_breakpoints(
     series: TimeSeries,
     model: BreakModel,
@@ -332,10 +368,13 @@ def optimal_breakpoints(
 
     Exact dynamic program over the triangular segment-RSS array of Bai &
     Perron (2003), with every segment's RSS read from one `_SegmentCost`
-    instead of a stored n x n table: memory is O(m_max * n). For each break
-    count and sample end, one vectorised minimum runs over the candidate
-    last breaks. Among equal-RSS partitions the lexicographically smallest
-    break vector wins, and BIC ties go to the smaller break count.
+    instead of a stored n x n table. Each break count's layer is filled a
+    block of sample ends at a time, one bounded (ends x last breaks) array
+    per block (`_dp_layer`), so memory is O(m_max * n). Among equal-RSS
+    partitions the lexicographically smallest break vector wins, and BIC
+    ties go to the smaller break count. BIC reads an RSS at or below the
+    kernel's rounding floor `tol` as `tol`: past an exact fit, rounding
+    residue buys no breaks.
     """
     y = series.values
     n = len(y)
@@ -356,15 +395,9 @@ def optimal_breakpoints(
     best = np.full((m_max + 1, n + 1), np.inf)
     back = np.zeros((m_max + 1, n + 1), dtype=np.intp)
     best[0, h:] = cost.rss(0, np.arange(h, n + 1))
-    for m in range(1, m_max + 1):
-        for e in range((m + 1) * h, n + 1):
-            b = np.arange(m * h, e - h + 1)
-            cand = best[m - 1, b] + cost.rss(b, e)
-            ties = np.flatnonzero(cand == cand.min())
-            i = ties[0]
-            if len(ties) > 1:  # the earliest last break need not be lexicographically least
-                i = min(ties, key=lambda t: _backtrack(back, m - 1, b[t]) + (b[t],))
-            best[m, e], back[m, e] = cand[i], b[i]
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked infeasible cells
+        for m in range(1, m_max + 1):
+            _dp_layer(cost, best, back, m, h)
 
     rss_table = [float(r) for r in best[:, n]]
     breaks_by_m = [_backtrack(back, m, n) for m in range(m_max + 1)]
@@ -372,7 +405,7 @@ def optimal_breakpoints(
     log_n = math.log(n)
     for m, rss in enumerate(rss_table):
         npar = (m + 1) * k + m + 1  # per-segment slopes, break dates, variance
-        safe_rss = max(rss, 1e-300)
+        safe_rss = max(rss, cost.tol, 1e-300)  # an exact fit's RSS is noise below tol
         bic_table.append(n * math.log(safe_rss / n) + npar * log_n)
 
     selected_m = min(range(m_max + 1), key=lambda m: (bic_table[m], m))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 _NEAR_INT = 1e-9
 
@@ -17,25 +18,25 @@ def _floor(x: float) -> int:
 
 def schwert4(T: int) -> int:
     """l = floor(4 * (T/100)^(1/4))"""
-    _check(T)
+    T = _length(T)
     return _floor(4.0 * (T / 100.0) ** 0.25)
 
 
 def schwert12(T: int) -> int:
     """l = floor(12 * (T/100)^(1/4))"""
-    _check(T)
+    T = _length(T)
     return _floor(12.0 * (T / 100.0) ** 0.25)
 
 
 def newey_west(T: int) -> int:
     """l = floor(4 * (T/100)^(2/9))"""
-    _check(T)
+    T = _length(T)
     return _floor(4.0 * (T / 100.0) ** (2.0 / 9.0))
 
 
 def kpss_short(T: int) -> int:
     """l = floor(3 * sqrt(T) / 13)"""
-    _check(T)
+    T = _length(T)
     return _floor(3.0 * math.sqrt(T) / 13.0)
 
 
@@ -47,7 +48,13 @@ RULES = {
 }
 
 
-def _check(T: int) -> None:
-    if not isinstance(T, (int,)) or T < 1:
+def _length(T: int) -> int:
+    """T as a Python int; any integer type but bool, and at least 1."""
+    try:
+        length = operator.index(T)
+    except TypeError:
+        length = 0
+    if isinstance(T, bool) or length < 1:
         raise ValueError(f"series length must be a positive integer, got {T!r}")
+    return length
 

@@ -124,3 +124,49 @@ def confint_oracle(values, breaks, trend, alpha=0.05):
         upper = b - math.floor(scale * quantile(alpha / 2.0, phi, xi))
         intervals.append((max(1, lower), b, min(n, upper)))
     return tuple(intervals)
+
+
+def dp_oracle(values, h, m_max, trend):
+    """Bai-Perron minimal-RSS partitions, one minimum per (break count, end).
+
+    Segment RSS comes from prefix sums of y - ybar and, for the trend model,
+    of t - tbar, (t - tbar)^2 and (t - tbar)(y - ybar), in the same expression
+    order as the package's kernel, so the two compare exactly. Each (m, end)
+    keeps its whole break vector; among candidates of equal RSS the
+    lexicographically smallest vector wins. Returns (rss by m, breaks by m),
+    breaks 1-based, for m = 0..m_max.
+    """
+    y = np.asarray(values, dtype=float)
+    n = len(y)
+
+    def prefix(a):
+        return np.concatenate(([0.0], np.cumsum(a)))
+
+    yc = y - y.mean()
+    tc = np.arange(n) - (n - 1) / 2.0
+    sy, syy = prefix(yc), prefix(yc * yc)
+    st, stt, sty = prefix(tc), prefix(tc * tc), prefix(tc * yc)
+
+    def rss(b, e):
+        m = e - b
+        s_y = sy[e] - sy[b]
+        r = syy[e] - syy[b] - s_y * s_y / m
+        if trend:
+            s_t = st[e] - st[b]
+            s_tt = stt[e] - stt[b] - s_t * s_t / m
+            s_ty = sty[e] - sty[b] - s_t * s_y / m
+            r = r - s_ty * s_ty / s_tt
+        return np.maximum(r, 0.0)
+
+    best = np.full((m_max + 1, n + 1), np.inf)
+    best[0, h:] = rss(0, np.arange(h, n + 1))
+    paths = [[()] * (n + 1)]
+    for m in range(1, m_max + 1):
+        paths.append([None] * (n + 1))
+        for e in range((m + 1) * h, n + 1):
+            b = np.arange(m * h, e - h + 1)
+            cand = best[m - 1, b] + rss(b, e)
+            best[m, e] = cand.min()
+            ties = b[cand == best[m, e]].tolist()
+            paths[m][e] = min(paths[m - 1][c] + (c,) for c in ties)
+    return [float(r) for r in best[:, n]], [paths[m][n] for m in range(m_max + 1)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import confint_oracle
+from oracles import confint_oracle, dp_oracle
 from scipy import stats
 
 from tsbreak.breaks import (
@@ -267,6 +267,51 @@ class TestOptimalBreakpoints:
         with pytest.raises(BreaksError, match="m_max"):
             optimal_breakpoints(ts(np.zeros(20)), BreakModel.LEVEL, h=5, m_max=5)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize(
+        "y,model,h,at",
+        [
+            (np.repeat([1.505, 1.884], [104, 72]), BreakModel.LEVEL, 8, 104),
+            (np.repeat([2.2, 0.3], [123, 57]), BreakModel.LEVEL, 9, 123),
+            (np.repeat([2.2, 0.3], [123, 57]), BreakModel.TREND, 9, 123),
+        ],
+        ids=["level_104", "level_123", "trend_123"],
+    )
+    def test_bic_ignores_rounding_residue(self, y, model, h, at, shift):
+        # From the one true break on, every RSS is rounding residue; its log
+        # must not buy further breaks.
+        bset = optimal_breakpoints(ts(y + shift), model, h=h)
+        assert bset.break_indices == (at,)
+
+
+class TestDpBlocks:
+    """The DP fills each layer a block of sample ends at a time.
+
+    These series are long enough for every layer to span several blocks;
+    the results must equal the per-end recursion's exactly.
+    """
+
+    @pytest.mark.parametrize("model", list(BreakModel))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_end_oracle(self, model, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(120, 401))
+        if seed % 2:  # values in {0, 1, 2}: partitions of exactly equal RSS
+            y = rng.integers(0, 3, size=n).astype(float)
+        else:
+            y = rng.normal(size=n) + np.repeat(rng.normal(0.0, 3.0, 4), n // 4 + 1)[:n]
+        h = int(rng.integers(model.k + 1, 16))
+        m_max = min(4, n // h - 1)
+        bset = optimal_breakpoints(ts(y), model, h=h, m_max=m_max)
+        rss, breaks = dp_oracle(y, h, m_max, model is BreakModel.TREND)
+        assert bset.rss_table == tuple(rss)
+        assert bset.breaks_by_m == tuple(breaks)
+
+    @pytest.mark.parametrize("model", list(BreakModel))
+    def test_constant_series_ties_across_blocks(self, model):
+        bset = optimal_breakpoints(ts(np.zeros(240)), model, h=12, m_max=4)
+        assert bset.breaks_by_m == tuple(tuple(range(12, 12 * m + 1, 12)) for m in range(5))
+
 
 class TestShiftInvariance:
     """Breaks, RSS and F paths of a + b*y follow from those of y.
@@ -332,6 +377,18 @@ def test_dp_memory_is_linear_in_n():
     tracemalloc.start()
     try:
         optimal_breakpoints(s, BreakModel.LEVEL, h=250)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_dp_memory_is_linear_in_n_trend():
+    # The trend model holds more temporaries per block of sample ends.
+    s = ts(np.random.default_rng(3).normal(size=1000))
+    tracemalloc.start()
+    try:
+        optimal_breakpoints(s, BreakModel.TREND, h=250)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

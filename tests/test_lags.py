@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tsbreak.lags import RULES, kpss_short, newey_west, schwert4, schwert12
@@ -43,10 +44,16 @@ def test_ordering_property_holds_up_to_500():
 
 
 @pytest.mark.parametrize("rule", list(RULES.values()))
-@pytest.mark.parametrize("bad", [0, -3, 2.5, "ten"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "ten", True, np.float64(241.0)])
 def test_rejects_non_positive_lengths(rule, bad):
     with pytest.raises(ValueError):
         rule(bad)
+
+
+@pytest.mark.parametrize("T", [np.int64(241), np.int32(241), np.uint16(241)])
+def test_accepts_numpy_integers(T):
+    assert [rule(T) for rule in RULES.values()] == [4, 14, 4, 3]
+    assert all(type(rule(T)) is int for rule in RULES.values())
 
 
 def test_rules_registry_names():
